@@ -39,13 +39,11 @@ from .density import (
     gaussian_density,
     gaussian_product,
     gibbs_gap,
-    grid_density,
     interpolate,
     load_density,
     lp_norm,
     marginal,
     normalize,
-    product_density,
     random_bumps,
     random_set,
     save_density,
@@ -54,29 +52,17 @@ from .density import (
 )
 from .group import (
     CorankGroup,
-    GroupPoint,
-    decompose,
     dilate,
     group_from_json,
-    group_to_json,
-    horizontal_gradient,
-    identity,
-    inverse,
-    multiply,
-    point,
-    project,
+    group_to_dict,
     project_points,
-    projected_dilate,
-    t_derivative,
 )
 from .harness import (
     Report,
-    SampledField,
     ScaledData,
     corank_constants,
     duality_bridge_residual,
     euclidean_set_lw,
-    h1_entropy_constant,
     isoperimetric_check,
     level_set_check,
     multilinear_lhs,
@@ -98,7 +84,6 @@ from .radon import (
     SinogramGrid,
     default_family,
     default_radon_norm,
-    density_norm,
     estimate_radon_norm_lb,
     radon_ratio,
     radon_transform,

@@ -38,7 +38,6 @@ from .group import CorankGroup, group_from_json
 from .harness import (
     Report,
     corank_constants,
-    h1_entropy_constant,
     isoperimetric_check,
     level_set_check,
     product_combine,
@@ -87,10 +86,6 @@ def parse_group(text: str) -> CorankGroup:
         raise CLIError(f"cannot parse group {text!r}: {exc}") from exc
 
 
-def _axis_res(dim: int, res: int) -> int:
-    return quad_axis_resolution(dim, res)
-
-
 def _factor_box(G: CorankGroup) -> tuple[np.ndarray, np.ndarray]:
     m = G.horizontal_dim
     return -FACTOR_HALF * np.ones(m), FACTOR_HALF * np.ones(m)
@@ -100,7 +95,7 @@ def _random_factors(G: CorankGroup, res: int, seed: int, count: int,
                     preset: str = "bumps"):
     lo, hi = _factor_box(G)
     m = G.horizontal_dim
-    r = _axis_res(m, res)
+    r = quad_axis_resolution(m, res)
     if preset == "gauss":
         rng = np.random.default_rng(seed)
         out = []
@@ -121,7 +116,7 @@ def _random_factors(G: CorankGroup, res: int, seed: int, count: int,
 
 def _random_density(G: CorankGroup, res: int, seed: int):
     k = G.topo_dim
-    r = _axis_res(k, res)
+    r = quad_axis_resolution(k, res)
     lo = -FACTOR_HALF * np.ones(k)
     return random_bumps(lo, -lo, (r,) * k, seed=seed)
 
@@ -165,7 +160,7 @@ def cmd_nonlinear_lw(args) -> list:
 def cmd_set_lw(args) -> list:
     G = parse_group(args.group)
     k = G.topo_dim
-    r = _axis_res(k, args.res)
+    r = quad_axis_resolution(k, args.res)
     if args.cube:
         E = box_indicator(np.zeros(k), np.ones(k), (r,) * k,
                           box_lower=np.zeros(k), box_upper=np.ones(k))
@@ -281,7 +276,7 @@ def cmd_sobolev_check(args) -> list:
 def cmd_iso_check(args) -> list:
     G = parse_group(args.group)
     k = G.topo_dim
-    r = _axis_res(k, args.res)
+    r = quad_axis_resolution(k, args.res)
     lo = -np.ones(k)
     E = random_set(lo, -lo, (r,) * k, seed=args.seed)
     return [isoperimetric_check(G, E, r_norm=args.rnorm)]
@@ -301,7 +296,7 @@ def cmd_suite(args) -> list:
         fs3 = _random_factors(h1, res, seed + 7, 3)
         out.append(verify_nonlinear_lw(h1, fs3))
         k = h1.topo_dim
-        r = _axis_res(k, res)
+        r = quad_axis_resolution(k, res)
         cube = box_indicator(np.zeros(k), np.ones(k), (r,) * k,
                              box_lower=np.zeros(k), box_upper=np.ones(k))
         out.append(verify_set_lw(h1, cube, r_norm=args.rnorm))
@@ -317,7 +312,7 @@ def cmd_suite(args) -> list:
         out.extend(proof_chain_checks(
             h2, _product_gaussian(h2, max(res, 64), seed), r_norm=args.rnorm))
     if args.name in ("products", "all"):
-        a = h1_entropy_constant(1.0)
+        a = corank_constants(h1)
         both = product_combine(a, a)
         ok = (
             tuple(both.c) == (Fraction(2, 7),) * 4
@@ -337,7 +332,7 @@ def cmd_suite(args) -> list:
         out.append(sobolev_check(h1, f, r_norm=args.rnorm))
         out.append(level_set_check(h1, f))
         k = h1.topo_dim
-        r = _axis_res(k, res)
+        r = quad_axis_resolution(k, res)
         E = random_set(-np.ones(k), np.ones(k), (r,) * k, seed=seed)
         out.append(isoperimetric_check(h1, E, r_norm=args.rnorm))
     if not out:
@@ -348,13 +343,34 @@ def cmd_suite(args) -> list:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_common(p, res_default=64):
-    p.add_argument("--res", type=int, default=res_default,
-                   help="nominal per-axis resolution budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rnorm", type=float, default=None,
-                   help="transform-norm value (else env CARNOT_LW_RNORM, "
-                        "else computed default)")
+class _Parser(argparse.ArgumentParser):
+    """Whole option names only (``--res`` must not pass for ``--res-list``);
+    usage errors become one ``error:`` line and exit code 2 via main."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise CLIError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _add_common(p, res_default=None, seed=True, rnorm=True):
+    """Attach the shared options the subcommand reads; no --res if no default."""
+    if res_default is not None:
+        p.add_argument("--res", type=_positive_int, default=res_default,
+                       help="nominal per-axis resolution budget")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if rnorm:
+        p.add_argument("--rnorm", type=float, default=None,
+                       help="transform-norm value (else env CARNOT_LW_RNORM, "
+                            "else computed default)")
     p.add_argument("--out", type=str, default=None,
                    help="also write the JSON lines to this file")
     p.add_argument("--csv", type=str, default=None,
@@ -362,7 +378,7 @@ def _add_common(p, res_default=64):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="carnotlw",
         description="Desk-scale checks of projection inequalities on "
                     "corank-one groups",
@@ -371,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lw-verify", help="scale-sharp multilinear inequality")
     p.add_argument("--group", default="h1")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--preset", choices=("bumps", "gauss"), default="bumps",
                    help="factor-density family")
     _add_common(p, 96)
@@ -379,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nonlinear-lw", help="full-family inequality, constant 1")
     p.add_argument("--group", default="h1")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--preset", choices=("bumps", "gauss"), default="bumps")
     _add_common(p, 96)
     p.set_defaults(func=cmd_nonlinear_lw)
@@ -403,17 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_proof_chain)
 
     p = sub.add_parser("radon-norm", help="transform-norm lower bound scan")
-    p.add_argument("--res-list", type=int, nargs="*", default=None)
+    p.add_argument("--res-list", type=_positive_int, nargs="*", default=None)
     p.add_argument("--family", type=str, nargs="*", default=None)
-    _add_common(p, 160)
+    _add_common(p, seed=False, rnorm=False)
     p.set_defaults(func=cmd_radon_norm)
 
     p = sub.add_parser("bl-constant", help="Gaussian-saturated constant of a datum")
     p.add_argument("--datum-json", type=str, default=None)
     p.add_argument("--canonical", type=str, default=None,
                    help="lw:<k> | pair:<n> | corank:<group>")
-    p.add_argument("--starts", type=int, default=6)
-    _add_common(p)
+    p.add_argument("--starts", type=_positive_int, default=6)
+    _add_common(p, rnorm=False)
     p.set_defaults(func=cmd_bl_constant)
 
     p = sub.add_parser("product-combine", help="exact exponents for products")
@@ -423,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", type=str, default=None)
     p.add_argument("--lines", type=int, default=0,
                    help="then combine with this many real-line factors")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_product_combine)
 
     p = sub.add_parser("sobolev-check", help="gradient and level-set bounds")
@@ -477,13 +493,9 @@ def _emit(results: list, args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         results = args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Grid densities and the entropy calculus used by the inequality harness.
 
 Densities are midpoint samples on uniform tensor grids over a box.  All
-integrals are midpoint-rule cell sums; interpolation is multilinear with the
-density falling to zero half a cell beyond the outermost sample.  Entropy is
+integrals are midpoint-rule cell sums.  ``interpolate`` is multilinear and
+reads zero outside the outermost cell centres; the pushforward resampler
+fades linearly to zero one cell beyond them.  Entropy is
 signed as S(f) = integral of f*ln(f), so it is the negative of the usual
 differential entropy and subadditivity reads S(joint) >= sum of marginals.
 
@@ -39,9 +40,7 @@ __all__ = [
     "ProductDensity",
     "BlockDensity",
     "NumericalError",
-    "grid_density",
     "density_from_function",
-    "product_density",
     "interpolate",
     "total_mass",
     "lp_norm",
@@ -66,6 +65,7 @@ __all__ = [
 
 MASS_TOL = 1e-6          # entropy refuses densities further than this from mass 1
 CONDITIONAL_FLOOR = 1e-12  # marginal cells below this are dropped from profiles
+_CHUNK = 1 << 21         # lattice points per chunk of the midpoint walker
 
 
 class NumericalError(RuntimeError):
@@ -123,11 +123,6 @@ class GridDensity:
     def axis_centers(self, axis: int) -> np.ndarray:
         w = self.widths[axis]
         return self.lower[axis] + w * (np.arange(self.res[axis]) + 0.5)
-
-
-def grid_density(lower, upper, values) -> GridDensity:
-    return GridDensity(np.asarray(lower, float), np.asarray(upper, float),
-                       np.asarray(values, float))
 
 
 @dataclass(frozen=True)
@@ -212,8 +207,9 @@ def _linear_sample(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     ``idx`` has shape (Rp, Ru) and addresses, for each index on the
     second-to-last axis of ``arr``, sample positions along the last axis.
-    Outside the sample range the signal fades linearly to zero over one
-    index unit, matching the multilinear interpolation convention.
+    Beyond the first and last samples the signal fades linearly to zero over
+    one index unit, so it vanishes one cell past the outermost centre (unlike
+    ``interpolate``, which is zero as soon as it leaves the centres).
     """
     rt = arr.shape[-1]
     i0 = np.floor(idx).astype(int)
@@ -229,7 +225,10 @@ def _linear_sample(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def interpolate(f: GridDensity, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of f at physical points; zero outside the box."""
+    """Multilinear interpolation of f at physical points.
+
+    Zero outside [first cell centre, last cell centre] on any axis.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -239,41 +238,38 @@ def interpolate(f: GridDensity, points: np.ndarray) -> np.ndarray:
     return ndimage.map_coordinates(f.values, idx.T, order=1, mode="constant", cval=0.0)
 
 
+def _lattice_chunks(lower: np.ndarray, upper: np.ndarray, res: Sequence[int]):
+    """Yield (slice, points) covering the box's midpoint lattice in C order.
+
+    Each chunk is an (N <= _CHUNK, k) array; ``slice`` locates it in the
+    flattened lattice.
+    """
+    widths = (upper - lower) / np.array(res)
+    total = int(np.prod(res))
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        rem = np.arange(start, stop)
+        coords = np.empty((stop - start, len(res)))
+        for axis in range(len(res) - 1, -1, -1):
+            coords[:, axis] = rem % res[axis]
+            rem = rem // res[axis]
+        yield slice(start, stop), lower + widths * (coords + 0.5)
+
+
 def density_from_function(
     fn: Callable[[np.ndarray], np.ndarray],
     lower: Sequence[float],
     upper: Sequence[float],
     res: Sequence[int],
-    chunk: int = 1 << 21,
 ) -> GridDensity:
     """Rasterize ``fn`` (vectorised over an (N, k) array) at cell midpoints."""
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     res = tuple(int(r) for r in np.atleast_1d(res))
-    widths = (upper - lower) / np.array(res)
-    total = int(np.prod(res))
-    values = np.empty(total)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop)
-        coords = np.empty((stop - start, len(res)))
-        rem = flat
-        for axis in range(len(res) - 1, -1, -1):
-            coords[:, axis] = rem % res[axis]
-            rem = rem // res[axis]
-        pts = lower + widths * (coords + 0.5)
-        values[start:stop] = fn(pts)
+    values = np.empty(int(np.prod(res)))
+    for sl, pts in _lattice_chunks(lower, upper, res):
+        values[sl] = fn(pts)
     return GridDensity(lower, upper, values.reshape(res))
-
-
-def product_density(*parts: GridDensity) -> GridDensity:
-    """Outer product of densities on disjoint blocks of axes (in order)."""
-    values = parts[0].values
-    for g in parts[1:]:
-        values = np.multiply.outer(values, g.values)
-    lower = np.concatenate([g.lower for g in parts])
-    upper = np.concatenate([g.upper for g in parts])
-    return GridDensity(lower, upper, values)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +363,29 @@ def _check_group_density(G: CorankGroup, f: Density) -> None:
         )
 
 
-def _shear_extension(G: CorankGroup, j: int, lower, upper) -> float:
-    own, partner, alpha, _ = _pair_columns(G, j)
-    ca = max(abs(lower[own]), abs(upper[own]))
-    cp = max(abs(lower[partner]), abs(upper[partner]))
-    return 0.5 * alpha * ca * cp
+def _shear_lattice(G: CorankGroup, j: int, f: Density, g_t: GridDensity,
+                   partner_centers: np.ndarray):
+    """Vertical lattice (u_lo, res_u, index) of pair projection j's output.
+
+    The u-axis keeps g_t's cell size and grows by whole cells covering the
+    worst shear over f's box.  ``index(v)`` gives, per (partner, u) cell, the
+    fractional g_t index it reads at own coordinate v: t = u - sign*alpha/2*v*p.
+    """
+    own, partner, alpha, sign = _pair_columns(G, j)
+    ca = max(abs(f.lower[own]), abs(f.upper[own]))
+    cp = max(abs(f.lower[partner]), abs(f.upper[partner]))
+    t_lo = g_t.lower[-1]
+    dt = g_t.widths[-1]
+    extra = int(np.ceil(0.5 * alpha * ca * cp / dt - 1e-12))
+    res_u = g_t.res[-1] + 2 * extra
+    u_lo = t_lo - extra * dt
+    u_centers = u_lo + dt * (np.arange(res_u) + 0.5)
+
+    def index(v):
+        shift = sign * 0.5 * alpha * v * partner_centers
+        return (u_centers[None, :] - shift[:, None] - t_lo) / dt - 0.5
+
+    return u_lo, res_u, index
 
 
 def _pad_t_if_touching(f: GridDensity) -> GridDensity:
@@ -426,38 +440,26 @@ def _corank_pushforward_grid(G: CorankGroup, j: int, f: GridDensity) -> GridDens
         return coordinate_pushforward(f, [j - 1])
 
     f = _pad_t_if_touching(f)
-    own, partner, alpha, sign = _pair_columns(G, j)
+    own, partner, _, _ = _pair_columns(G, j)
     t_axis = f.k - 1
-    dt = f.widths[t_axis]
-    s_max = _shear_extension(G, j, f.lower, f.upper)
-    extra = int(np.ceil(s_max / dt - 1e-12))
-    res_u = f.res[t_axis] + 2 * extra
-    u_lo = f.lower[t_axis] - extra * dt
-    u_centers = u_lo + dt * (np.arange(res_u) + 0.5)
-
-    own_centers = f.axis_centers(own)
-    partner_centers = f.axis_centers(partner)
-    d_own = f.widths[own]
+    u_lo, res_u, index = _shear_lattice(G, j, f, f, f.axis_centers(partner))
 
     # axes of a fixed-own slab: every other axis in order, vertical last
     rest_axes = [a for a in range(f.k) if a != own]
     p_pos = rest_axes.index(partner)
 
     out = None
-    for ia, v in enumerate(own_centers):
+    for ia, v in enumerate(f.axis_centers(own)):
         slab = np.take(f.values, ia, axis=own)
         slab = np.moveaxis(slab, p_pos, -2)
-        # density transport: value at u comes from t = u - sign*alpha/2*own*partner
-        shift = sign * 0.5 * alpha * v * partner_centers
-        idx = (u_centers[None, :] - shift[:, None] - f.lower[t_axis]) / dt - 0.5
-        sheared = _linear_sample(slab, idx)
+        sheared = _linear_sample(slab, index(v))
         contrib = np.moveaxis(sheared, -2, p_pos)
         out = contrib if out is None else out + contrib
-    out = out * d_own
+    out = out * f.widths[own]
 
     keep = [a for a in range(f.k) if a != own and a != t_axis]
     lower = np.append(f.lower[keep], u_lo)
-    upper = np.append(f.upper[keep], u_lo + res_u * dt)
+    upper = np.append(f.upper[keep], u_lo + res_u * f.widths[t_axis])
     return GridDensity(lower, upper, out)
 
 
@@ -470,30 +472,22 @@ def _corank_pushforward_product(G: CorankGroup, j: int, f: ProductDensity) -> Bl
     if j <= G.d:
         return as_blocks(f.factors[: j - 1] + f.factors[j:])
 
-    own, partner, alpha, sign = _pair_columns(G, j)
-    g_own, g_p, g_t = f.factors[own], f.factors[partner], f.factors[f.k - 1]
-    g_t = _pad_t_if_touching(g_t)
-    dt = g_t.widths[0]
-    s_max = _shear_extension(G, j, f.lower, f.upper)
-    extra = int(np.ceil(s_max / dt - 1e-12))
-    res_u = g_t.res[0] + 2 * extra
-    u_lo = g_t.lower[0] - extra * dt
-    u_centers = u_lo + dt * (np.arange(res_u) + 0.5)
-    p_centers = g_p.axis_centers(0)
+    own, partner, _, _ = _pair_columns(G, j)
+    g_own, g_p = f.factors[own], f.factors[partner]
+    g_t = _pad_t_if_touching(f.factors[f.k - 1])
+    u_lo, res_u, index = _shear_lattice(G, j, f, g_t, g_p.axis_centers(0))
 
     # 2-D fiber block on (partner, vertical): the only coupled coordinates
-    block = np.zeros((len(p_centers), res_u))
+    block = np.zeros((g_p.res[0], res_u))
     t_row = g_t.values[None, :]
     for v, gv in zip(g_own.axis_centers(0), g_own.values):
         if gv == 0.0:
             continue
-        shift = sign * 0.5 * alpha * v * p_centers
-        idx = (u_centers[None, :] - shift[:, None] - g_t.lower[0]) / dt - 0.5
-        block += gv * _linear_sample(t_row, idx)
+        block += gv * _linear_sample(t_row, index(v))
     block *= g_own.widths[0] * g_p.values[:, None]
     pair_grid = GridDensity(
         np.array([g_p.lower[0], u_lo]),
-        np.array([g_p.upper[0], u_lo + res_u * dt]),
+        np.array([g_p.upper[0], u_lo + res_u * g_t.widths[0]]),
         block,
     )
 

@@ -23,7 +23,7 @@ __all__ = [
     "CorankGroup",
     "GroupPoint",
     "group_from_json",
-    "group_to_json",
+    "group_to_dict",
     "identity",
     "point",
     "multiply",
@@ -145,8 +145,9 @@ def group_from_json(text: str) -> CorankGroup:
         raise ValueError(f"invalid group description: {exc}") from exc
 
 
-def group_to_json(G: CorankGroup) -> str:
-    return json.dumps({"d": G.d, "n": G.n, "alpha": list(G.alpha)}, sort_keys=True)
+def group_to_dict(G: CorankGroup) -> dict:
+    """The description ``group_from_json`` reads, as a JSON-ready dict."""
+    return {"d": G.d, "n": G.n, "alpha": list(G.alpha)}
 
 
 def identity(G: CorankGroup) -> GroupPoint:

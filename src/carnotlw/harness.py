@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -34,6 +34,7 @@ from .density import (
     Density,
     GridDensity,
     ProductDensity,
+    _lattice_chunks,
     coordinate_pushforward,
     corank_pushforward,
     entropy,
@@ -41,13 +42,12 @@ from .density import (
     lp_norm,
     total_mass,
 )
-from .group import CorankGroup, _pair_columns, project_points
+from .group import CorankGroup, _pair_columns, group_to_dict, project_points
 from .radon import default_radon_norm
 
 __all__ = [
     "Report",
     "ScaledData",
-    "SampledField",
     "resolve_rnorm",
     "quad_axis_resolution",
     "multilinear_lhs",
@@ -58,7 +58,6 @@ __all__ = [
     "verify_set_lw",
     "euclidean_set_lw",
     "corank_constants",
-    "h1_entropy_constant",
     "product_combine",
     "product_combine_line",
     "subadditivity_check",
@@ -72,7 +71,6 @@ SMOOTH_TOL_COEFF = 100.0  # tol = coeff * scale / r^2 for smooth quadratures
 ENTROPY_TOL_COEFF = 60.0  # tol = coeff / r^2 for entropy comparisons
 SET_TOL_COEFF = 2.0       # tol = coeff * scale / r for rasterized measures
 MAX_QUAD_CELLS = 1 << 24
-_CHUNK = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +207,6 @@ def corank_constants(G: CorankGroup) -> ScaledData:
     )
 
 
-def h1_entropy_constant(alpha: float = 1.0) -> ScaledData:
-    """Entropy form for the one-pair group: c = (2/3, 2/3), D = ln R - ln(alpha)/3."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return ScaledData(
-        c=(Fraction(2, 3), Fraction(2, 3)),
-        rnorm_pow=Fraction(1),
-        alpha_pows=((float(alpha), Fraction(1, 3)),),
-        q_hom=Fraction(4),
-    )
-
-
 def product_combine(a: ScaledData, b: ScaledData) -> ScaledData:
     """Scaled data of the product of two groups from the factors' data.
 
@@ -333,20 +319,35 @@ def _validate_factors(
             )
 
 
-def _mesh_chunks(lo, hi, res_axes):
-    """Yield (points, length) covering the midpoint grid in C order."""
-    res_axes = tuple(int(r) for r in res_axes)
-    widths = (hi - lo) / np.array(res_axes)
-    total = int(np.prod(res_axes))
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        flat = np.arange(start, stop)
-        coords = np.empty((stop - start, len(res_axes)))
-        rem = flat
-        for axis in range(len(res_axes) - 1, -1, -1):
-            coords[:, axis] = rem % res_axes[axis]
-            rem = rem // res_axes[axis]
-        yield lo + widths * (coords + 0.5), stop - start
+def _pullback_lattice(G, fs, include_last, quad_res):
+    """(lo, hi, res_axes, chunks) of ``multilinear_lhs``'s lattice, or None.
+
+    ``chunks`` yields (slice, prod_j f_j(pi_j(x,t))) chunk by chunk; a chunk
+    stops multiplying once its product is all zero.
+    """
+    _validate_factors(G, fs, include_last)
+    box = _integration_box(G, fs, include_last)
+    if box is None:
+        return None
+    if quad_res is None:
+        quad_res = max(max(f.res) for f in fs)
+    lo, hi = box
+    res_axes = (quad_axis_resolution(G.topo_dim, quad_res),) * G.topo_dim
+    js = list(range(1, G.horizontal_dim + 1)) + (
+        [G.topo_dim] if include_last else []
+    )
+
+    def chunks():
+        for sl, pts in _lattice_chunks(lo, hi, res_axes):
+            prod = None
+            for j, f in zip(js, fs):
+                vals = interpolate(f, project_points(G, j, pts))
+                prod = vals if prod is None else prod * vals
+                if not prod.any():
+                    break
+            yield sl, prod
+
+    return lo, hi, res_axes, chunks()
 
 
 def multilinear_lhs(
@@ -361,27 +362,13 @@ def multilinear_lhs(
     per-axis resolution defaults to the budgeted value for the nominal
     resolution max(f.res).
     """
-    _validate_factors(G, fs, include_last)
-    box = _integration_box(G, fs, include_last)
-    if box is None:
+    lattice = _pullback_lattice(G, fs, include_last, quad_res)
+    if lattice is None:
         return 0.0
-    lo, hi = box
-    if quad_res is None:
-        quad_res = max(max(f.res) for f in fs)
-    per_axis = quad_axis_resolution(G.topo_dim, quad_res)
-    res_axes = (per_axis,) * G.topo_dim
-    cell = float(np.prod((hi - lo) / per_axis))
-    js = list(range(1, G.horizontal_dim + 1)) + (
-        [G.topo_dim] if include_last else []
-    )
+    lo, hi, res_axes, chunks = lattice
+    cell = float(np.prod((hi - lo) / res_axes[0]))
     total = 0.0
-    for pts, _ in _mesh_chunks(lo, hi, res_axes):
-        prod = None
-        for j, f in zip(js, fs):
-            vals = interpolate(f, project_points(G, j, pts))
-            prod = vals if prod is None else prod * vals
-            if not prod.any():
-                break
+    for _, prod in chunks:
         total += float(prod.sum())
     value = total * cell
     if not math.isfinite(value):
@@ -402,27 +389,13 @@ def pullback_product(
     entropy form.  Resolution is budgeted as in ``multilinear_lhs``; the
     total cell count must stay below the materialisation cap.
     """
-    _validate_factors(G, fs, include_last)
-    box = _integration_box(G, fs, include_last)
-    if box is None:
+    lattice = _pullback_lattice(G, fs, include_last, quad_res)
+    if lattice is None:
         raise ValueError("pulled-back supports do not intersect")
-    lo, hi = box
-    if quad_res is None:
-        quad_res = max(max(f.res) for f in fs)
-    per_axis = quad_axis_resolution(G.topo_dim, quad_res)
-    res_axes = (per_axis,) * G.topo_dim
-    js = list(range(1, G.horizontal_dim + 1)) + (
-        [G.topo_dim] if include_last else []
-    )
+    lo, hi, res_axes, chunks = lattice
     values = np.empty(int(np.prod(res_axes)))
-    pos = 0
-    for pts, length in _mesh_chunks(lo, hi, res_axes):
-        prod = None
-        for j, f in zip(js, fs):
-            vals = interpolate(f, project_points(G, j, pts))
-            prod = vals if prod is None else prod * vals
-        values[pos : pos + length] = prod
-        pos += length
+    for sl, prod in chunks:
+        values[sl] = prod
     out = GridDensity(lo, hi, values.reshape(res_axes))
     if normalized:
         mass = total_mass(out)
@@ -488,7 +461,7 @@ def verify_lw(
         rhs,
         tol,
         {
-            "group": {"d": G.d, "n": G.n, "alpha": list(G.alpha)},
+            "group": group_to_dict(G),
             "r_norm": rn,
             "constant": const,
             "exponents": [str(p) for p in exps],
@@ -517,7 +490,7 @@ def verify_nonlinear_lw(
         rhs,
         tol,
         {
-            "group": {"d": G.d, "n": G.n, "alpha": list(G.alpha)},
+            "group": group_to_dict(G),
             "constant": 1.0,
             "exponent": p,
             "min_res": r,
@@ -595,7 +568,7 @@ def verify_set_lw(
         rhs,
         tol,
         {
-            "group": {"d": G.d, "n": G.n, "alpha": list(G.alpha)},
+            "group": group_to_dict(G),
             "r_norm": rn,
             "projected_measures": measures,
             "min_res": r,
@@ -666,7 +639,7 @@ def subadditivity_check(
         rhs,
         tol,
         {
-            "group": {"d": G.d, "n": G.n, "alpha": list(G.alpha)},
+            "group": group_to_dict(G),
             "r_norm": rn,
             "joint_entropy": s_joint,
             "pushforward_entropies": push_entropies,
@@ -719,7 +692,7 @@ def proof_chain_checks(
     r = min(f.res)
     tol = ENTROPY_TOL_COEFF / r**2
     meta = {
-        "group": {"d": 0, "n": n, "alpha": list(G.alpha)},
+        "group": group_to_dict(G),
         "r_norm": rn,
         "min_res": r,
     }
@@ -765,50 +738,9 @@ def proof_chain_checks(
 
 
 # ---------------------------------------------------------------------------
-# sampled fields, level sets, functional consequences
+# level sets, functional consequences
 
-class SampledField:
-    """Signed samples on a uniform grid (same geometry as GridDensity)."""
-
-    def __init__(self, lower, upper, values):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        values = np.asarray(values, dtype=float)
-        if values.ndim != lower.shape[0] or lower.shape != upper.shape:
-            raise ValueError("field box and values disagree")
-        if not np.all(lower < upper):
-            raise ValueError("box must have positive extent")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        self.lower = lower
-        self.upper = upper
-        self.values = values
-
-    @property
-    def k(self) -> int:
-        return self.values.ndim
-
-    @property
-    def res(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    @property
-    def widths(self) -> np.ndarray:
-        return (self.upper - self.lower) / np.array(self.res)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.widths))
-
-    def axis_centers(self, axis: int) -> np.ndarray:
-        w = self.widths[axis]
-        return self.lower[axis] + w * (np.arange(self.res[axis]) + 0.5)
-
-
-Field = Union[GridDensity, SampledField]
-
-
-def _horizontal_fields(G: CorankGroup, f: Field) -> list[np.ndarray]:
+def _horizontal_fields(G: CorankGroup, f: GridDensity) -> list[np.ndarray]:
     """Finite-difference left-invariant horizontal derivatives on the grid."""
     if f.k != G.topo_dim:
         raise ValueError(f"field must be {G.topo_dim}-D, got {f.k}-D")
@@ -830,7 +762,7 @@ def _horizontal_fields(G: CorankGroup, f: Field) -> list[np.ndarray]:
     return out
 
 
-def _gradient_l1(G: CorankGroup, f: Field) -> float:
+def _gradient_l1(G: CorankGroup, f: GridDensity) -> float:
     fields = _horizontal_fields(G, f)
     sq = np.zeros_like(fields[0])
     for arr in fields:
@@ -840,33 +772,32 @@ def _gradient_l1(G: CorankGroup, f: Field) -> float:
 
 def level_set_check(
     G: CorankGroup,
-    f: Field,
+    f: GridDensity,
     floor_cells: int = 16,
     max_bands: int = 12,
 ) -> Report:
     """Dyadic band estimate: projected band measures against slab variation.
 
-    For each dyadic band F_k = {2^(k-1) <= |f| < 2^k} with at least
+    For each dyadic band F_k = {2^(k-1) <= f < 2^k} with at least
     ``floor_cells`` cells, and every horizontal direction j, checks
     m(pi_j F_k) <= 2^(2-k) * int_{F_(k-1)} |X_j f|.  The report carries the
     worst (j, k) row; it fails if any row does.
     """
-    absf = np.abs(np.asarray(f.values, dtype=float))
-    vmax = float(absf.max())
+    v = f.values
+    vmax = float(v.max())
     if vmax <= 0:
-        raise ValueError("field is identically zero")
+        raise ValueError("density is identically zero")
     fields = _horizontal_fields(G, f)
     cv = f.cell_volume
-    grid = GridDensity(f.lower, f.upper, np.zeros(f.res))
     k_hi = math.floor(math.log2(vmax)) + 1
     rows = []
     for k in range(k_hi, k_hi - max_bands, -1):
-        band = (absf >= 2.0 ** (k - 1)) & (absf < 2.0**k)
-        below = (absf >= 2.0 ** (k - 2)) & (absf < 2.0 ** (k - 1))
+        band = (v >= 2.0 ** (k - 1)) & (v < 2.0**k)
+        below = (v >= 2.0 ** (k - 2)) & (v < 2.0 ** (k - 1))
         if band.sum() < floor_cells:
             continue
         for j in range(1, G.horizontal_dim + 1):
-            lhs = _projected_measure_from_mask(G, j, grid, band)
+            lhs = _projected_measure_from_mask(G, j, f, band)
             rhs = 2.0 ** (2 - k) * float(np.abs(fields[j - 1])[below].sum() * cv)
             rows.append({"j": j, "k": k, "lhs": lhs, "rhs": rhs})
     if not rows:
@@ -881,7 +812,7 @@ def level_set_check(
         worst["rhs"],
         tol,
         {
-            "group": {"d": G.d, "n": G.n, "alpha": list(G.alpha)},
+            "group": group_to_dict(G),
             "rows": rows,
             "min_res": r,
         },
@@ -895,7 +826,7 @@ def _chain_constant(G: CorankGroup, rn: float) -> float:
 
 
 def sobolev_check(
-    G: CorankGroup, f: Field, r_norm: Optional[float] = None
+    G: CorankGroup, f: GridDensity, r_norm: Optional[float] = None
 ) -> Report:
     """Check ||f||_{Q/(Q-1)} <= C_chain ||grad_H f||_1.
 
@@ -917,7 +848,7 @@ def sobolev_check(
         rhs,
         tol,
         {
-            "group": {"d": G.d, "n": G.n, "alpha": list(G.alpha)},
+            "group": group_to_dict(G),
             "r_norm": rn,
             "chain_constant": c_chain,
             "exponent": p,
@@ -948,8 +879,8 @@ def isoperimetric_check(
         raise ValueError(f"width must be positive, got {width}")
     sigma_cells = width / E.widths
     chi = ndimage.gaussian_filter(E.values, sigma=sigma_cells, mode="constant")
-    field = SampledField(E.lower, E.upper, chi)
-    perimeter = _gradient_l1(G, field)
+    # the mollified indicator is nonnegative, so it is a grid density
+    perimeter = _gradient_l1(G, GridDensity(E.lower, E.upper, chi))
     q = G.homogeneous_dim
     m_e = float((E.values > 0).sum()) * E.cell_volume
     lhs = m_e ** ((q - 1) / q)
@@ -963,7 +894,7 @@ def isoperimetric_check(
         rhs,
         tol,
         {
-            "group": {"d": G.d, "n": G.n, "alpha": list(G.alpha)},
+            "group": group_to_dict(G),
             "r_norm": rn,
             "width": width,
             "perimeter": perimeter,

@@ -21,14 +21,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import GridDensity, gaussian_density, interpolate, lp_norm, random_bumps
+from .density import (
+    GridDensity,
+    density_from_function,
+    gaussian_density,
+    interpolate,
+    lp_norm,
+    random_bumps,
+)
 
 __all__ = [
     "SinogramGrid",
     "RadonNormBound",
     "radon_transform",
     "sinogram_norm",
-    "density_norm",
     "radon_ratio",
     "estimate_radon_norm_lb",
     "default_family",
@@ -135,11 +141,6 @@ def sinogram_norm(sino: SinogramGrid, p: float) -> float:
     return float((np.abs(sino.values) ** p).sum() * d_angle * ds) ** (1.0 / p)
 
 
-def density_norm(f: GridDensity, p: float) -> float:
-    """Lebesgue p-norm of a grid density (midpoint quadrature)."""
-    return lp_norm(f, p)
-
-
 def radon_ratio(
     f: GridDensity,
     n_angles: Optional[int] = None,
@@ -149,7 +150,7 @@ def radon_ratio(
     base = max(f.res)
     n_angles = base if n_angles is None else n_angles
     n_offsets = base if n_offsets is None else n_offsets
-    denom = density_norm(f, 1.5)
+    denom = lp_norm(f, 1.5)
     if denom == 0:
         raise ValueError("density is identically zero")
     sino = radon_transform(f, n_angles, n_offsets)
@@ -164,14 +165,10 @@ class RadonNormBound:
 
 
 def _disk_density(res: int, radius: float = 1.0) -> GridDensity:
-    half = 1.2 * radius
-    lo = np.array([-half, -half])
-    hi = np.array([half, half])
-    widths = (hi - lo) / res
-    cx = lo[0] + widths[0] * (np.arange(res) + 0.5)
-    cy = lo[1] + widths[1] * (np.arange(res) + 0.5)
-    xx, yy = np.meshgrid(cx, cy, indexing="ij")
-    return GridDensity(lo, hi, (xx * xx + yy * yy <= radius * radius).astype(float))
+    half = 1.2 * radius * np.ones(2)
+    return density_from_function(
+        lambda pts: ((pts * pts).sum(axis=1) <= radius * radius).astype(float),
+        -half, half, (res, res))
 
 
 def _family_density(descriptor: str, res: int) -> GridDensity:

@@ -30,6 +30,7 @@ from carnotlw import (
     pair_deletion_datum,
     product_combine,
     proof_chain_checks,
+    quad_axis_resolution,
     radon_ratio,
     radon_transform,
     random_bumps,
@@ -41,7 +42,7 @@ from carnotlw import (
     verify_nonlinear_lw,
     verify_set_lw,
 )
-from carnotlw.cli import _axis_res, _random_factors
+from carnotlw.cli import _random_factors
 from carnotlw.radon import _disk_density
 
 H1 = CorankGroup(0, 1, (1.0,))
@@ -130,7 +131,7 @@ def _criterion5_cases(G, seed, res):
     fs = _random_factors(G, res, seed, G.horizontal_dim)
     fs_full = _random_factors(G, res, seed + 500, G.horizontal_dim + 1)
     k = G.topo_dim
-    r = _axis_res(k, res)
+    r = quad_axis_resolution(k, res)
     E = random_set(-np.ones(k), np.ones(k), (r,) * k, seed=seed)
     return [
         verify_lw(G, fs, r_norm=2.1),
@@ -170,9 +171,9 @@ def test_acceptance_6_transform_norm():
     res = 512
     disk = _disk_density(res)
     sino = radon_transform(disk, res, res)
-    from carnotlw import density_norm, sinogram_norm
+    from carnotlw import lp_norm, sinogram_norm
 
-    ratio = sinogram_norm(sino, 3.0) / density_norm(disk, 1.5)
+    ratio = sinogram_norm(sino, 3.0) / lp_norm(disk, 1.5)
     assert ratio == pytest.approx(6.0 ** (1.0 / 3.0), rel=2e-2)
     f = random_bumps([-1, -1], [1, 1], (96, 96), seed=3)
     s2 = radon_transform(f, 64, 128)

@@ -74,6 +74,63 @@ def test_bad_canonical_datum_exit_two(capsys):
     assert code == 2
 
 
+def _rejected_before_computing(argv, capsys, monkeypatch):
+    """Run main with every subcommand body disabled; return (code, stderr)."""
+    from carnotlw import cli
+
+    def started(args):
+        raise AssertionError("computation started")
+
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, started)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lw-verify", "--res", "0"],
+    ["lw-verify", "--res", "-5"],
+    ["nonlinear-lw", "--trials", "0"],
+    ["radon-norm", "--res-list", "64", "0"],
+    ["bl-constant", "--canonical", "lw:3", "--starts", "0"],
+])
+def test_nonpositive_counts_exit_two(argv, capsys, monkeypatch):
+    code, err = _rejected_before_computing(argv, capsys, monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["radon-norm", "--res", "64"],
+    ["radon-norm", "--seed", "1"],
+    ["radon-norm", "--rnorm", "2.1"],
+    ["bl-constant", "--canonical", "lw:3", "--res", "64"],
+    ["bl-constant", "--canonical", "lw:3", "--rnorm", "2.1"],
+    ["product-combine", "--left", "h1", "--right", "h1", "--res", "64"],
+    ["product-combine", "--left", "h1", "--right", "h1", "--seed", "1"],
+])
+def test_ignored_options_rejected(argv, capsys, monkeypatch):
+    code, err = _rejected_before_computing(argv, capsys, monkeypatch)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bl-constant", "--canonical", "nope:3"],        # CLIError
+    ["radon-norm", "--family", "nope", "--res-list", "8"],  # plain ValueError
+])
+def test_input_errors_share_one_exit_path(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # outputs
 

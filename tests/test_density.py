@@ -22,13 +22,11 @@ from carnotlw import (
     gaussian_density,
     gaussian_product,
     gibbs_gap,
-    grid_density,
     interpolate,
     load_density,
     lp_norm,
     marginal,
     normalize,
-    product_density,
     project_points,
     random_bumps,
     random_set,
@@ -36,6 +34,7 @@ from carnotlw import (
     total_mass,
     triangle_density,
 )
+from carnotlw.density import _linear_sample
 
 H1 = CorankGroup(0, 1, (1.0,))
 GAUSS_1D_ENTROPY = -0.5 * math.log(2 * math.pi * math.e)
@@ -100,6 +99,37 @@ def test_interpolate_linear_function_between_centers():
     )
 
 
+def test_edge_readers_on_constant_density():
+    # 4 cells of value 1 on [0, 1]: centres 0.125, 0.375, 0.625, 0.875
+    f = GridDensity([0.0], [1.0], np.ones(4))
+    # interpolate is zero outside [first centre, last centre]
+    np.testing.assert_array_equal(
+        interpolate(f, np.array([[0.1], [0.9], [0.125]])), [0.0, 0.0, 1.0]
+    )
+    # the pushforward sampler fades to zero one cell past the last centre
+    x = np.array([0.1, 1.0, 1.125])
+    idx = (x - f.lower[0]) / f.widths[0] - 0.5
+    np.testing.assert_allclose(
+        _linear_sample(f.values[None, :], idx[None, :])[0], [0.9, 0.5, 0.0],
+        atol=1e-12,
+    )
+
+
+def test_raster_across_chunks_matches_broadcast():
+    lower, upper, res = np.array([0.0, 0.25, 0.5]), np.array([1.0, 2.0, 3.0]), 130
+    assert res**3 > 1 << 21  # more cells than one chunk of the lattice walker
+    f = density_from_function(
+        lambda p: p[:, 0] + p[:, 1] + p[:, 2], lower, upper, (res,) * 3
+    )
+    x, y, t = (
+        lower[a] + (upper[a] - lower[a]) / res * (np.arange(res) + 0.5)
+        for a in range(3)
+    )
+    np.testing.assert_array_equal(
+        f.values, x[:, None, None] + y[None, :, None] + t[None, None, :]
+    )
+
+
 def test_entropy_requires_probability_mass():
     f = box_indicator([0], [1], (16,))  # mass 1, fine
     entropy(f)
@@ -111,11 +141,11 @@ def test_entropy_requires_probability_mass():
 
 def test_grid_density_validation():
     with pytest.raises(ValueError):
-        grid_density([0, 0], [1, 1], np.ones(4))  # not 2-d values
+        GridDensity([0, 0], [1, 1], np.ones(4))  # not 2-d values
     with pytest.raises(ValueError):
-        grid_density([1], [0], np.ones(4))  # empty box
+        GridDensity([1], [0], np.ones(4))  # empty box
     with pytest.raises(ValueError):
-        grid_density([0], [1], -np.ones(4))  # negative density
+        GridDensity([0], [1], -np.ones(4))  # negative density
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +191,7 @@ def test_chain_rule_residual_random_density():
 def test_conditional_profile_of_product_is_constant():
     g = normalize(box_indicator([0], [2], (32,)))
     h = random_bumps([0], [1], (32,), seed=4)
-    f = product_density(g, h)
+    f = ProductDensity((g, h)).rasterize()
     _, profile = conditional_entropy_profile(f, 1)
     ok = ~np.isnan(profile)
     np.testing.assert_allclose(profile[ok], entropy(g), atol=1e-10)
@@ -200,7 +230,7 @@ def test_entropy_superadditive_over_marginals():
 def test_entropy_additive_for_products():
     g = random_bumps([0], [1], (48,), seed=1)
     h = random_bumps([-2], [1], (36,), seed=2)
-    f = product_density(g, h)
+    f = ProductDensity((g, h)).rasterize()
     assert entropy(f) == pytest.approx(entropy(g) + entropy(h), abs=1e-10)
 
 

@@ -1,14 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotlw import (
+from carnotlw.group import (
     CorankGroup,
     decompose,
     dilate,
     group_from_json,
-    group_to_json,
+    group_to_dict,
     horizontal_gradient,
     identity,
     inverse,
@@ -49,7 +51,7 @@ def test_invalid_groups_rejected(d, n, alpha):
 
 def test_group_json_round_trip():
     G = CorankGroup(1, 2, (1.0, 2.0))
-    assert group_from_json(group_to_json(G)) == G
+    assert group_from_json(json.dumps(group_to_dict(G))) == G
     assert group_from_json('{"d":1,"n":2,"alpha":[1.0,2.0]}') == G
 
 

@@ -9,7 +9,6 @@ from carnotlw import (
     CorankGroup,
     GridDensity,
     Report,
-    SampledField,
     ScaledData,
     box_indicator,
     corank_constants,
@@ -21,7 +20,6 @@ from carnotlw import (
     euclidean_set_lw,
     gaussian_density,
     gaussian_product,
-    h1_entropy_constant,
     isoperimetric_check,
     level_set_check,
     multilinear_lhs,
@@ -36,6 +34,7 @@ from carnotlw import (
     resolve_rnorm,
     sobolev_check,
     subadditivity_check,
+    total_mass,
     verify_lw,
     verify_nonlinear_lw,
     verify_set_lw,
@@ -118,18 +117,6 @@ def test_exponent_sum_identity(d, n, alpha):
     assert sum(sd.c) == q / (q - 1)
 
 
-def test_h1_entropy_constant_matches_group_constants():
-    for alpha in (1.0, 2.5):
-        a = h1_entropy_constant(alpha)
-        b = corank_constants(CorankGroup(0, 1, (alpha,)))
-        assert a.c == b.c
-        assert a.rnorm_pow == b.rnorm_pow
-        assert a.alpha_pows == b.alpha_pows
-        assert a.q_hom == b.q_hom
-    with pytest.raises(ValueError):
-        h1_entropy_constant(-1.0)
-
-
 # ---------------------------------------------------------------------------
 # product combinations
 
@@ -163,7 +150,7 @@ def test_product_combine_symmetric():
 
 def test_product_combine_associative():
     parts = (
-        h1_entropy_constant(1.0),
+        corank_constants(H1),
         corank_constants(CorankGroup(1, 1, (2.0,))),
         corank_constants(CorankGroup(0, 2, (1.0, 3.0))),
     )
@@ -283,6 +270,21 @@ def test_pullback_product_is_normalized_density():
     F = pullback_product(H1, fs)
     assert F.k == 3
     assert float(F.values.sum() * F.cell_volume) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "G,include_last", [(H1, False), (H11, True)], ids=["h1", "d1n1-full"]
+)
+def test_pullback_product_mass_equals_multilinear_lhs(G, include_last):
+    m = G.horizontal_dim
+    fs = [
+        random_bumps([-1.2] * m, [1.2] * m, (24,) * m, seed=s)
+        for s in range(m + include_last)
+    ]
+    raw = pullback_product(G, fs, include_last, normalized=False)
+    lhs = multilinear_lhs(G, fs, include_last)
+    assert lhs > 0
+    assert total_mass(raw) == pytest.approx(lhs, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +414,7 @@ def test_subadditivity_random_density():
 def test_subadditivity_accepts_explicit_scaled_data():
     f = random_bumps([-1.2] * 3, [1.2] * 3, (48,) * 3, seed=7)
     a = subadditivity_check(H1, f, r_norm=RN)
-    b = subadditivity_check(H1, f, sd=h1_entropy_constant(1.0), r_norm=RN)
+    b = subadditivity_check(H1, f, sd=corank_constants(H1), r_norm=RN)
     assert a.lhs == pytest.approx(b.lhs, abs=1e-12)
     assert a.rhs == pytest.approx(b.rhs, abs=1e-12)
     with pytest.raises(ValueError):
@@ -496,7 +498,7 @@ def test_proof_chain_requires_pure_pair_group():
 
 def _smooth_field(res=64, scale=8.0):
     f = random_bumps([-1.2] * 3, [1.2] * 3, (res,) * 3, seed=12)
-    return SampledField(f.lower, f.upper, scale * f.values)
+    return GridDensity(f.lower, f.upper, scale * f.values)
 
 
 def test_level_set_check_passes_on_smooth_field():
@@ -519,13 +521,13 @@ def test_level_set_floor_prunes_rows():
     many = level_set_check(H1, f, floor_cells=8)
     few = level_set_check(H1, f, floor_cells=700)
     assert len(few.metadata["rows"]) < len(many.metadata["rows"])
-    z = SampledField([0, 0, 0], [1, 1, 1], np.ones((4, 4, 4)))
+    z = GridDensity([0, 0, 0], [1, 1, 1], np.ones((4, 4, 4)))
     with pytest.raises(ValueError, match="cell floor"):
         level_set_check(H1, z, floor_cells=1000)
 
 
 def test_level_set_rejects_zero_field():
-    z = SampledField([0, 0, 0], [1, 1, 1], np.zeros((8, 8, 8)))
+    z = GridDensity([0, 0, 0], [1, 1, 1], np.zeros((8, 8, 8)))
     with pytest.raises(ValueError):
         level_set_check(H1, z)
 

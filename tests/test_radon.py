@@ -9,9 +9,9 @@ from carnotlw import (
     box_indicator,
     default_family,
     default_radon_norm,
-    density_norm,
     estimate_radon_norm_lb,
     gaussian_density,
+    lp_norm,
     radon_ratio,
     radon_transform,
     random_bumps,
@@ -49,12 +49,12 @@ def test_disk_norms(disk_sinogram):
     assert sinogram_norm(sino, 3.0) == pytest.approx(
         (6.0 * math.pi**2) ** (1.0 / 3.0), rel=1e-2
     )
-    assert density_norm(f, 1.5) == pytest.approx(math.pi ** (2.0 / 3.0), rel=1e-2)
+    assert lp_norm(f, 1.5) == pytest.approx(math.pi ** (2.0 / 3.0), rel=1e-2)
 
 
 def test_disk_ratio(disk_sinogram):
     f, sino = disk_sinogram
-    ratio = sinogram_norm(sino, 3.0) / density_norm(f, 1.5)
+    ratio = sinogram_norm(sino, 3.0) / lp_norm(f, 1.5)
     assert ratio == pytest.approx(DISK_RATIO, rel=2e-2)
 
 
@@ -94,7 +94,7 @@ def test_sinogram_norm_constant_one():
 
 def test_unit_square_density_norm():
     f = box_indicator([0, 0], [1, 1], (64, 64))
-    assert density_norm(f, 1.5) == pytest.approx(1.0, abs=1e-12)
+    assert lp_norm(f, 1.5) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
